@@ -75,7 +75,7 @@ let single ?reachable cluster ~t =
     result_of cluster seen ~contacted:(if answered then 1 else 0) ~target:t
 
 (* Walk [order.(0 .. len-1)] until [t] distinct entries are in hand. *)
-let probe_in_order_arr cluster ~t order =
+let probe_in_order cluster ~t order =
   let seen = Hashtbl.create 16 in
   let contacted = ref 0 in
   let len = Array.length order in
@@ -86,45 +86,44 @@ let probe_in_order_arr cluster ~t order =
   done;
   result_of cluster seen ~contacted:!contacted ~target:t
 
-let probe_in_order cluster ~t order = probe_in_order_arr cluster ~t (Array.of_list order)
-
 let random_order ?reachable cluster ~t =
   let up = candidates_array ?reachable cluster in
   Rng.shuffle_in_place (Cluster.rng cluster) up;
-  probe_in_order_arr cluster ~t up
+  probe_in_order cluster ~t up
+
+(* Normalize [start] and [step] into [0, n): OCaml's [mod] is
+   sign-preserving, so a raw negative step would walk [pos] below 0 and
+   crash the array access; step = 0 (mod n) degenerates to the single
+   start residue, which the rest-extension below already handles. *)
+let stride_order ~n ~start ~step =
+  let step = ((step mod n) + n) mod n in
+  let order = Array.make n 0 in
+  let visited = Array.make n false in
+  let len = ref 0 in
+  let push i =
+    visited.(i) <- true;
+    order.(!len) <- i;
+    incr len
+  in
+  let pos = ref (((start mod n) + n) mod n) in
+  while not visited.(!pos) do
+    push !pos;
+    pos := (!pos + step) mod n
+  done;
+  for i = 0 to n - 1 do
+    if not visited.(i) then push i
+  done;
+  order
 
 let stride ?reachable cluster ~start ~step ~t =
   let n = Cluster.n cluster in
-  (* Normalize into [0, n): OCaml's [mod] is sign-preserving, so a raw
-     negative step would walk [pos] below 0 and crash the array access;
-     step = 0 (mod n) degenerates to the single start residue, which the
-     rest-extension below already handles. *)
-  let step = ((step mod n) + n) mod n in
   let usable = candidates_array ?reachable cluster in
-  if Array.length usable = n then begin
-    (* Failure-free fast path: the deterministic sequence start,
-       start+step, ... visits gcd-many residue classes; extend with the
-       remaining servers so the probe can always reach full coverage. *)
-    let visited = Array.make n false in
-    let order = ref [] in
-    let pos = ref (((start mod n) + n) mod n) in
-    let continue = ref true in
-    while !continue do
-      if visited.(!pos) then continue := false
-      else begin
-        visited.(!pos) <- true;
-        order := !pos :: !order;
-        pos := (!pos + step) mod n
-      end
-    done;
-    let rest =
-      List.filter (fun i -> not visited.(i)) (List.init n Fun.id)
-    in
-    probe_in_order cluster ~t (List.rev !order @ rest)
-  end
+  if Array.length usable = n then
+    (* Failure-free fast path: the deterministic strided order. *)
+    probe_in_order cluster ~t (stride_order ~n ~start ~step)
   else begin
     (* Failures (or restricted reachability): random order, per the
        paper. *)
     Rng.shuffle_in_place (Cluster.rng cluster) usable;
-    probe_in_order_arr cluster ~t usable
+    probe_in_order cluster ~t usable
   end

@@ -36,6 +36,14 @@ val random_order :
 (** Contact reachable up servers in uniformly random order without
     repetition until satisfied — the RandomServer-x / Hash-y client. *)
 
+val stride_order : n:int -> start:int -> step:int -> int array
+(** The Round-Robin client's probe plan over servers [0 .. n-1]:
+    [start], [start+step], [start+2*step], ... (mod n) until the stride
+    cycle closes, then the residues the cycle missed, in ascending id
+    order — a permutation of [0 .. n-1].  [start] and [step] may be any
+    integers (both are normalized mod n).  Draws no randomness: callers
+    pick [start].  Requires [n >= 1]. *)
+
 val stride :
   ?reachable:(int -> bool) -> Cluster.t -> start:int -> step:int -> t:int -> Lookup_result.t
 (** Contact [start], [start+step], [start+2*step], ... (mod n) — the
