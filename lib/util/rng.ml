@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256++ state: four 64-bit words s0..s3 at byte offsets 0, 8,
+   16 and 24 of one 32-byte buffer.  [Bytes.get_int64_ne]/[set_int64_ne]
+   are compiler primitives, so a draw reads and writes raw words and
+   allocates nothing, where [mutable int64] record fields box a fresh
+   int64 on every store. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -12,53 +17,55 @@ let splitmix_next state =
   state := Int64.add !state golden_gamma;
   mix64 !state
 
-let create seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix_next st)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_splitmix (ref (Int64.of_int seed))
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* xoshiro256++ *)
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+let[@inline] bits64 t =
+  let s0 = Bytes.get_int64_ne t 0 in
+  let s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 in
+  let s3 = Bytes.get_int64_ne t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tt = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (Int64.logxor s2 tt);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
-let split t =
-  let st = ref (bits64 t) in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+let split t = of_splitmix (ref (bits64 t))
 
 let nonneg t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 (* 62 random bits, always a non-negative OCaml int. *)
+
+(* Rejection sampling over the largest multiple of [bound] below 2^62.
+   A toplevel loop rather than a local closure, so a draw allocates
+   nothing. *)
+let rec draw_below t bound limit =
+  let v = nonneg t in
+  if v < limit then v mod bound else draw_below t bound limit
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then nonneg t land (bound - 1)
   else begin
-    (* Rejection sampling over the largest multiple of [bound] below 2^62. *)
     let max = (1 lsl 62) - 1 in
-    let limit = max - (max mod bound) in
-    let rec draw () =
-      let v = nonneg t in
-      if v < limit then v mod bound else draw ()
-    in
-    draw ()
+    draw_below t bound (max - (max mod bound))
   end
 
 let int_in_range t ~lo ~hi =
