@@ -29,9 +29,9 @@
    JSON key, a benchmark that bailed early) used to sail through as
    all-"gone".  Skipped baseline metrics are therefore summarised at
    the end, and the gate fails when more than --max-missing (a
-   fraction, default 0.5) of them vanished.  Smoke runs legitimately
-   drop the large-n rows of the scale sweep, which stays under the
-   default; wholesale disappearance does not.
+   fraction, default 0.5) of them vanished.  A baseline refresh that
+   drops a few rows stays under the default; wholesale disappearance
+   does not.
 
    Absolute hit-rate floor: every cache[].hit_rate must clear 40% in
    both files — the claim that the cache absorbs the flash crowd is an

@@ -882,7 +882,7 @@ let bench_scale ~smoke () =
     done;
     float_of_int (!rounds * amount) /. Float.max 1e-6 (Unix.gettimeofday () -. t0)
   in
-  let sizes = if smoke then [ 10; 1000 ] else [ 10; 1000; 10_000 ] in
+  let sizes = [ 10; 1000; 10_000 ] in
   let t = 35 in
   let cfg s =
     match Service.config_of_string s with Ok c -> c | Error e -> failwith e

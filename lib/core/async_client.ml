@@ -88,7 +88,7 @@ type state = {
   breaker : Breaker.t option;
   jitter : Plookup_util.Rng.t option;
   seen : (int, Entry.t) Hashtbl.t;
-  mutable queue : int list;
+  queue : Candidates.t;
   mutable inflight : int;
   mutable contacted : int;
   mutable attempts : int;
@@ -129,18 +129,17 @@ let satisfied st = Hashtbl.length st.seen >= st.target
 
 (* Pop the next contactable server, dropping (and counting) servers
    whose breaker circuit is open.  Without a breaker this is exactly
-   "pop the head". *)
+   "pop the next candidate". *)
 let next_candidate st =
   let rec pop () =
-    match st.queue with
-    | [] -> None
-    | server :: rest -> (
-      st.queue <- rest;
+    match Candidates.pop st.queue with
+    | None -> None
+    | Some server as next -> (
       match st.breaker with
       | Some b when not (Breaker.allow b server ~now:(Engine.now st.engine)) ->
         st.breaker_skips <- st.breaker_skips + 1;
         pop ()
-      | _ -> Some server)
+      | _ -> next)
   in
   pop ()
 
@@ -152,7 +151,8 @@ let record_breaker st server ~ok =
 let rec pump st =
   if not st.finished then begin
     if satisfied st then finish st
-    else if st.inflight = 0 && st.queue = [] then finish st (* order exhausted *)
+    else if st.inflight = 0 && Candidates.is_empty st.queue then
+      finish st (* order exhausted *)
     else if st.inflight < st.wave then begin
       match next_candidate st with
       | Some server ->
@@ -261,17 +261,6 @@ and attempt st server ~live ~tries_left ~timeout =
         end
       end)
 
-let dedup_order order =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun s ->
-      if Hashtbl.mem seen s then false
-      else begin
-        Hashtbl.add seen s ();
-        true
-      end)
-    order
-
 let make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedge
     ~breaker ~jitter ~order k =
   { cluster;
@@ -286,7 +275,7 @@ let make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedg
     breaker;
     jitter;
     seen = Hashtbl.create 32;
-    queue = dedup_order order;
+    queue = order ();
     inflight = 0;
     contacted = 0;
     attempts = 0;
@@ -312,8 +301,10 @@ let schedule_deadline st deadline =
            end))
   | None -> ()
 
-let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline
-    ?hedge ?breaker ?jitter ?cache ~order ?(wave = 1) ~t k =
+(* [order] builds the candidate order when (and only if) a probe runs:
+   a cache-served lookup never pays for one. *)
+let launch cluster engine ~latency ~timeout ~retries ~backoff ~deadline ~hedge ~breaker
+    ~jitter ~cache ~order ~wave ~t k =
   if t <= 0 then invalid_arg "Async_client.lookup: t must be positive";
   if timeout <= 0. then invalid_arg "Async_client.lookup: timeout must be positive";
   if wave <= 0 then invalid_arg "Async_client.lookup: wave must be positive";
@@ -384,10 +375,15 @@ let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?dead
              served r ~now:started_at;
              probe complete))
 
-let lookup_random_order cluster engine ~latency ~timeout ?retries ?backoff ?deadline
-    ?hedge ?breaker ?jitter ?cache ?wave ~t k =
-  let order =
-    Array.to_list (Plookup_util.Rng.perm (Cluster.rng cluster) (Cluster.n cluster))
-  in
-  lookup cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
-    ?jitter ?cache ~order ?wave ~t k
+let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline
+    ?hedge ?breaker ?jitter ?cache ~order ?(wave = 1) ~t k =
+  launch cluster engine ~latency ~timeout ~retries ~backoff ~deadline ~hedge ~breaker
+    ~jitter ~cache ~wave ~t k
+    ~order:(fun () -> Candidates.explicit order)
+
+let lookup_random_order cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.)
+    ?deadline ?hedge ?breaker ?jitter ?cache ?(wave = 1) ~t k =
+  launch cluster engine ~latency ~timeout ~retries ~backoff ~deadline ~hedge ~breaker
+    ~jitter ~cache ~wave ~t k
+    ~order:(fun () ->
+      Candidates.random (Cluster.rng cluster) ~m:(Cluster.n cluster) ~get:Fun.id)

@@ -150,4 +150,8 @@ val lookup_random_order :
   (outcome -> unit) ->
   unit
 (** {!lookup} over all servers in uniformly random order (the
-    RandomServer-x / Hash-y client). *)
+    RandomServer-x / Hash-y client).  The order is a lazy
+    {!Candidates.random} over [\[0, n)] that draws from the cluster's
+    generator as each candidate is popped, so a lookup costs draws only
+    for the servers it considers and a cache-served lookup draws
+    nothing. *)

@@ -64,6 +64,7 @@ let heal_all t = Net.heal_all t.net
 
 let up_count t = Net.up_count t.net
 let up_servers_into t buf = Net.up_servers_into t.net buf
+let kth_up t k = Net.kth_up t.net k
 
 (* One [Rng.int] draw over the up-count, resolved by rank — the same
    draw (and the same server: the k-th smallest up id) as the old
@@ -71,7 +72,7 @@ let up_servers_into t buf = Net.up_servers_into t.net buf
 let random_up_server t =
   match up_count t with
   | 0 -> None
-  | up -> Some (Net.kth_up t.net (Rng.int t.rng up))
+  | up -> Some (kth_up t (Rng.int t.rng up))
 
 let next_up_from t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.next_up_from: server index out of range";

@@ -43,6 +43,11 @@ val up_servers_into : t -> int array -> int
 (** Ascending up server ids into [buf] (which must hold {!up_count});
     returns the count.  {!up_servers} without the list allocation. *)
 
+val kth_up : t -> int -> int
+(** [kth_up t k] is the [k]-th smallest up server id (0-based), in
+    O(log n) — the ranked up-server view lookups draw from without
+    listing every up server.  Requires [0 <= k < up_count t]. *)
+
 val fail_exactly : t -> int list -> unit
 val random_up_server : t -> int option
 (** Uniform among up servers; [None] if all are down — the paper's

@@ -2,27 +2,20 @@ open Plookup_store
 open Plookup_util
 module Net = Plookup_net.Net
 
-(* Reachable up servers in ascending id order — the same contents (and
-   order) as filtering [Cluster.up_servers], built as an array with no
-   per-element list cells.  The no-predicate path fills straight from
-   the network's up bitmap. *)
-let candidates_array ?reachable cluster =
-  match reachable with
-  | None ->
-    let arr = Array.make (max 1 (Cluster.up_count cluster)) 0 in
-    let count = Cluster.up_servers_into cluster arr in
-    if count = Array.length arr then arr else Array.sub arr 0 count
-  | Some ok ->
-    let n = Cluster.n cluster in
-    let arr = Array.make (max 1 n) 0 in
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if Cluster.is_up cluster i && ok i then begin
-        arr.(!count) <- i;
-        incr count
-      end
-    done;
-    if !count = Array.length arr then arr else Array.sub arr 0 !count
+(* Reachable up servers in ascending id order: the O(n) scan a
+   [reachable] predicate forces (it can only be asked server by
+   server). *)
+let reachable_array cluster ok =
+  let n = Cluster.n cluster in
+  let arr = Array.make n 0 in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if Cluster.is_up cluster i && ok i then begin
+      arr.(!count) <- i;
+      incr count
+    end
+  done;
+  if !count = n then arr else Array.sub arr 0 !count
 
 (* Send one Lookup and merge the distinct answers into [seen]. *)
 let contact cluster ~t ~seen server =
@@ -65,65 +58,62 @@ let result_of cluster seen ~contacted ~target =
     target }
 
 let single ?reachable cluster ~t =
-  let up = candidates_array ?reachable cluster in
-  match Array.length up with
-  | 0 -> Lookup_result.empty ~target:t
-  | len ->
-    let server = up.(Rng.int (Cluster.rng cluster) len) in
+  let server =
+    match reachable with
+    | None -> Cluster.random_up_server cluster
+    | Some ok -> (
+      match reachable_array cluster ok with
+      | [||] -> None
+      | usable -> Some (Rng.pick (Cluster.rng cluster) usable))
+  in
+  match server with
+  | None -> Lookup_result.empty ~target:t
+  | Some server ->
     let seen = Hashtbl.create 16 in
     let answered = contact cluster ~t ~seen server in
     result_of cluster seen ~contacted:(if answered then 1 else 0) ~target:t
 
-(* Walk [order.(0 .. len-1)] until [t] distinct entries are in hand. *)
-let probe_in_order cluster ~t order =
+(* Pop servers off [order] until [t] distinct entries are in hand. *)
+let probe cluster ~t order =
   let seen = Hashtbl.create 16 in
   let contacted = ref 0 in
-  let len = Array.length order in
-  let i = ref 0 in
-  while !i < len && Hashtbl.length seen < t do
-    if contact cluster ~t ~seen order.(!i) then incr contacted;
-    incr i
-  done;
+  let rec go () =
+    if Hashtbl.length seen < t then
+      match Candidates.pop order with
+      | Some server ->
+        if contact cluster ~t ~seen server then incr contacted;
+        go ()
+      | None -> ()
+  in
+  go ();
   result_of cluster seen ~contacted:!contacted ~target:t
 
-let random_order ?reachable cluster ~t =
-  let up = candidates_array ?reachable cluster in
-  Rng.shuffle_in_place (Cluster.rng cluster) up;
-  probe_in_order cluster ~t up
+(* A random order over the reachable up servers: without a predicate,
+   over the ranked up view, so only the probed positions cost anything. *)
+let random_usable cluster usable =
+  let rng = Cluster.rng cluster in
+  match usable with
+  | None -> Candidates.random rng ~m:(Cluster.up_count cluster) ~get:(Cluster.kth_up cluster)
+  | Some arr -> Candidates.random rng ~m:(Array.length arr) ~get:(Array.get arr)
 
-(* Normalize [start] and [step] into [0, n): OCaml's [mod] is
-   sign-preserving, so a raw negative step would walk [pos] below 0 and
-   crash the array access; step = 0 (mod n) degenerates to the single
-   start residue, which the rest-extension below already handles. *)
-let stride_order ~n ~start ~step =
-  let step = ((step mod n) + n) mod n in
-  let order = Array.make n 0 in
-  let visited = Array.make n false in
-  let len = ref 0 in
-  let push i =
-    visited.(i) <- true;
-    order.(!len) <- i;
-    incr len
-  in
-  let pos = ref (((start mod n) + n) mod n) in
-  while not visited.(!pos) do
-    push !pos;
-    pos := (!pos + step) mod n
-  done;
-  for i = 0 to n - 1 do
-    if not visited.(i) then push i
-  done;
-  order
+let random_order ?reachable cluster ~t =
+  let usable = Option.map (reachable_array cluster) reachable in
+  probe cluster ~t (random_usable cluster usable)
+
+let stride_order ~n ~start ~step = Array.init n (Candidates.stride_plan ~n ~start ~step)
 
 let stride ?reachable cluster ~start ~step ~t =
   let n = Cluster.n cluster in
-  let usable = candidates_array ?reachable cluster in
-  if Array.length usable = n then
+  let usable = Option.map (reachable_array cluster) reachable in
+  let all_usable =
+    match usable with
+    | None -> Cluster.up_count cluster = n
+    | Some arr -> Array.length arr = n
+  in
+  if all_usable then
     (* Failure-free fast path: the deterministic strided order. *)
-    probe_in_order cluster ~t (stride_order ~n ~start ~step)
-  else begin
+    probe cluster ~t (Candidates.stride ~n ~start ~step)
+  else
     (* Failures (or restricted reachability): random order, per the
        paper. *)
-    Rng.shuffle_in_place (Cluster.rng cluster) usable;
-    probe_in_order cluster ~t usable
-  end
+    probe cluster ~t (random_usable cluster usable)
